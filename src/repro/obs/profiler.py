@@ -5,7 +5,11 @@ about where the *job's* progress work goes, aggregated over ranks.  Per
 step it accumulates
 
 - ``invocations`` — how many times the step ran (or, for the
-  event-driven step 1, how many completion events were verified);
+  event-driven step 1, how many completion events were verified).
+  Step 5 drains the rank's FIFO once per sweep; the other steps run once
+  per visited window — the posting steps 2/4 only for windows with
+  epochs woken for posting, the nonblocking engines' step 6 only for
+  windows with queued lock requests;
 - ``work`` — items processed: ops posted (steps 2/4), epochs completed
   or activated (steps 3/7), notifications drained (step 5), lock
   backlog entries (step 6), op completion events (step 1);
@@ -21,7 +25,8 @@ timing a loop body.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from time import perf_counter
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simtime import Simulator
@@ -68,6 +73,21 @@ class EngineProfiler:
         st.work += work
         st.wall_s += wall_s
         st.last_virtual_us = self.sim.now
+
+    def wrap(self, step: int, fn: Callable[..., int]) -> Callable[..., int]:
+        """``fn`` (a progress step returning its work count), timed and
+        recorded as one execution of ``step`` per call.  The engines
+        wrap their step functions with this when profiling is armed, so
+        profiled and plain sweeps run one step sequence."""
+        record = self.record
+
+        def timed(*args) -> int:
+            t0 = perf_counter()
+            work = fn(*args)
+            record(step, work, perf_counter() - t0)
+            return work
+
+        return timed
 
     def tally(self, step: int, work: int = 1) -> None:
         """Attribute event-driven work to ``step`` (no wall timing)."""

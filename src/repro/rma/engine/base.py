@@ -12,13 +12,14 @@ measured differences between engines are purely synchronization design.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from heapq import heappush
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from ...network.packets import ServiceKind
 from ...network.shmem import NotifyKind, decode_checked
-from ..epoch import Epoch, EpochKind, EpochState
+from ..epoch import Epoch, EpochState
 from ..ops import OpKind, RmaOp
 from ..packets import (
     AccRendezvousCts,
@@ -93,6 +94,25 @@ class RmaEngineBase:
     #: kept for the ``--wallclock`` A/B comparison and as a debug lever.
     dirty_tracking: bool = True
 
+    #: Epoch wake index switch (see :meth:`_wake`).  The nonblocking
+    #: engines advance and post only the epochs an event woke; the
+    #: baseline engines scan their one-deep queues and leave it off, so
+    #: every wake site is behind this flag or behind an index only the
+    #: nonblocking engines fill.
+    wake_index: bool = False
+
+    #: The engine's §VII-D progress steps in sweep order, as ``(step
+    #: number, method name)``.  ``_sweep`` runs the matching functions of
+    #: ``_step_fns`` (resolved once per class, honouring overrides; with
+    #: the profiler armed, each wrapped at construction to time and
+    #: record its runs), so profiled and plain sweeps share one sequence.
+    _STEPS: tuple[tuple[int, str], ...] = ()
+    _step_fns: tuple[Callable[..., int], ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._step_fns = tuple(getattr(cls, name) for _n, name in cls._STEPS)
+
     def __init__(self, runtime: "MPIRuntime", rank: int):
         self.runtime = runtime
         self.rank = rank
@@ -122,6 +142,11 @@ class RmaEngineBase:
         #: every hook below is then one attribute check, like the tracer).
         self.metrics = getattr(runtime, "metrics", None)
         self.profiler = getattr(runtime, "profiler", None)
+        if self.profiler is not None:
+            self._step_fns = tuple(
+                self.profiler.wrap(number, fn)
+                for (number, _name), fn in zip(self._STEPS, self._step_fns)
+            )
         #: Causal span recorder (None unless ``MPIRuntime(causal=True)``).
         self.causal = getattr(runtime, "causal", None)
         #: Schedule-exploration context (None outside repro.explore runs);
@@ -235,6 +260,9 @@ class RmaEngineBase:
         ``dirty_tracking`` off, returns every window and still clears the
         worklist (full-scan mode subsumes it)."""
         self.sweep_count += 1
+        prof = self.profiler
+        if prof is not None:
+            prof.sweeps += 1
         if not self.dirty_tracking:
             self._dirty.clear()
             out = list(self.states.values())
@@ -389,43 +417,49 @@ class RmaEngineBase:
 
     def _on_grant(self, ws: WindowState, p: GrantUpdate, src: int) -> None:
         m = self.metrics
+        granter = p.granter
+        old = ws.g[granter]
         if p.grant_seq is not None:
             # Idempotent form: the packet carries its position in the
             # granter's grant stream, so replays cannot over-increment g.
-            if p.grant_seq <= ws.g[p.granter]:
+            if p.grant_seq <= old:
                 ws.dup_grants_ignored += 1
                 if m is not None:
                     m.inc("omega.dup_grants_ignored")
                 return
-            ws.g[p.granter] = p.grant_seq
+            new = p.grant_seq
         else:
-            ws.g[p.granter] += 1
+            new = old + 1
+        ws.g[granter] = new
         if m is not None:
             m.inc("omega.grants_recv")
         if self._explore is not None:
             self._explore.record_notification(
-                self.rank, "grant", p.granter, pack_win_value(ws.gid, int(ws.g[p.granter]))
+                self.rank, "grant", granter, pack_win_value(ws.gid, new)
             )
-        if p.lock_access_id is not None:
-            for ep in ws.epochs:
-                if (
-                    ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL)
-                    and ep.access_ids.get(p.granter) == p.lock_access_id
-                    and not ep.lock_held.get(p.granter, False)
-                ):
-                    ep.lock_held[p.granter] = True
-                    start = ep.activate_time if ep.activate_time is not None else ep.open_time
-                    if m is not None and start is not None:
-                        m.observe("omega.lock_grant_wait_us", self.sim.now - start)
-                    if self.causal is not None and start is not None:
-                        self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
-                    break
+        if ws.grant_waiters:
+            self._wake_matched(ws, ws.grant_waiters, granter, old, new, post=True)
+        key = (granter, p.lock_access_id)
+        if p.lock_access_id is not None and key in ws.lock_epochs:
+            ep = ws.lock_epochs[key]
+            if granter not in ep.lock_held:
+                ep.lock_held[granter] = True
+                start = ep.activate_time if ep.activate_time is not None else ep.open_time
+                if m is not None and start is not None:
+                    m.observe("omega.lock_grant_wait_us", self.sim.now - start)
+                if self.causal is not None and start is not None:
+                    self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
+                if self.wake_index:
+                    self._wake_target(ws, ep, granter)
         if self._trace_enabled():
-            self._trace("grant_recv", ws, granter=p.granter, g=int(ws.g[p.granter]))
+            self._trace("grant_recv", ws, granter=granter, g=new)
 
     def _on_done(self, ws: WindowState, p: DonePacket, src: int) -> None:
-        if p.access_id > ws.done_id[p.origin]:
+        old = ws.done_id[p.origin]
+        if p.access_id > old:
             ws.done_id[p.origin] = p.access_id
+            if ws.done_waiters:
+                self._wake_matched(ws, ws.done_waiters, p.origin, old, p.access_id)
         if self._explore is not None:
             self._explore.record_notification(
                 self.rank, "done", p.origin, pack_win_value(ws.gid, p.access_id)
@@ -441,22 +475,26 @@ class RmaEngineBase:
         ws.lock_backlog.append(("unlock", p))
 
     def _on_unlock_ack(self, ws: WindowState, p: UnlockAck, src: int) -> None:
-        for ep in ws.epochs:
-            if (
-                ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL)
-                and src in ep.access_ids
-                and ep.access_ids[src] == p.access_id
-                and src not in ep.unlock_acked
-            ):
-                ep.unlock_acked.add(src)
-                return
+        # The ack is the last message of a lock epoch's (target, access id)
+        # pair: it leaves the index here.
+        key = (src, p.access_id)
+        if key in ws.lock_epochs:
+            ep = ws.lock_epochs[key]
+            del ws.lock_epochs[key]
+            ep.unlock_acked.add(src)
+            if self.wake_index:
+                self._wake(ws, ep)
 
     def _on_fence_open(self, ws: WindowState, p: FenceOpen, src: int) -> None:
         if p.round_no > ws.remote_fence_open[p.origin]:
             ws.remote_fence_open[p.origin] = p.round_no
+            if ws.fence_epoch is not None:
+                self._wake_post(ws, ws.fence_epoch, self._node_lo <= p.origin < self._node_hi)
 
     def _on_fence_done(self, ws: WindowState, p: FenceDone, src: int) -> None:
         ws.fence_done_from[p.round_no].add(p.origin)
+        if ws.fence_epoch is not None:
+            self._wake(ws, ws.fence_epoch)
         self._trace("fence_done", ws, origin=p.origin, round_no=p.round_no)
 
     _PACKET_HANDLERS = {
@@ -510,8 +548,11 @@ class RmaEngineBase:
             ws = states[gid]
             self.mark_dirty(ws)
             if kind is NotifyKind.EPOCH_COMPLETE:
-                if ident > ws.done_id[sender]:
+                old = ws.done_id[sender]
+                if ident > old:
                     ws.done_id[sender] = ident
+                    if ws.done_waiters:
+                        self._wake_matched(ws, ws.done_waiters, sender, old, ident)
                 if explore is not None:
                     # Same canonical form as the internode DonePacket
                     # path: the digest multiset is transport-agnostic.
@@ -525,20 +566,53 @@ class RmaEngineBase:
             m.inc("fifo.drained", count)
         return count
 
-    def _on_notification(self, kind: NotifyKind, sender: int, value: int) -> None:
-        gid, ident = unpack_win_value(value)
-        ws = self.states[gid]
-        self.mark_dirty(ws)
-        if kind is NotifyKind.EPOCH_COMPLETE:
-            if ident > ws.done_id[sender]:
-                ws.done_id[sender] = ident
-            if self._explore is not None:
-                # Same canonical form as the internode DonePacket path:
-                # the digest multiset is transport-agnostic by design.
-                self._explore.record_notification(self.rank, "done", sender, value)
-            self._trace("done_recv", ws, origin=sender, access_id=ident, via="fifo")
-        else:
-            raise RuntimeError(f"unexpected notification {kind} from {sender}")
+    # =====================================================================
+    # Epoch wake index (nonblocking engines)
+    # =====================================================================
+    def _wake(self, ws: WindowState, ep: Epoch) -> None:
+        """File active ``ep`` for the next advance pass (steps 3/7): an
+        event may have changed its completion predicate.  Access-side
+        epochs make no completion progress before their closing call
+        (which wakes them), so earlier wakes are dropped."""
+        if ep.active and not ep.woken and (ep.app_closed or not ep.is_access):
+            ep.woken = True
+            heappush(ws.wake_heap, (ep.uid, ep))
+
+    def _wake_post(self, ws: WindowState, ep: Epoch, intranode: bool) -> None:
+        """A target's readiness for ``ep`` changed: file active ``ep`` for
+        the posting step of that target's node class (step 4 intranode,
+        step 2 internode)."""
+        if not ep.active:
+            return
+        if intranode:
+            if not ep.intra_woken:
+                ep.intra_woken = True
+                heappush(ws.intra_heap, (ep.uid, ep))
+        elif not ep.inter_woken:
+            ep.inter_woken = True
+            heappush(ws.inter_heap, (ep.uid, ep))
+
+    def _wake_target(self, ws: WindowState, ep: Epoch, target: int) -> None:
+        """``ep`` was granted ``target``: both its ops there and its
+        done/unlock there may now proceed."""
+        self._wake(ws, ep)
+        self._wake_post(ws, ep, self._node_lo <= target < self._node_hi)
+
+    def _wake_matched(
+        self, ws: WindowState, waiters: dict, peer: int, old: int, new: int,
+        post: bool = False,
+    ) -> None:
+        """A counter from ``peer`` rose from ``old`` to ``new``: wake the
+        epochs ``waiters`` files under a value in ``(old, new]`` (each
+        value is crossed once, so the ranges cost O(1) amortized)."""
+        for value in range(old + 1, new + 1):
+            key = (peer, value)
+            if key in waiters:
+                ep = waiters.pop(key)
+                if post:
+                    self._wake_target(ws, ep, peer)
+                else:
+                    self._wake(ws, ep)
 
     # =====================================================================
     # Sending helpers
@@ -814,6 +888,8 @@ class RmaEngineBase:
         op.deliver_time = self.sim.now
         op.epoch.mark_delivered(op)
         self.mark_dirty(ws)
+        if self.wake_index:
+            self._wake(ws, op.epoch)
         prof = self.profiler
         if prof is not None:
             prof.tally(1)
@@ -861,6 +937,8 @@ class RmaEngineBase:
         req = ClosingRequest(self.sim, ep)
         ep.closing_request = req
         self.mark_dirty(ws)
+        if self.wake_index:
+            self._wake(ws, ep)
         if self._trace_enabled():
             self._trace("epoch_close_call", ws, ep)
         if ep.completed:
@@ -922,6 +1000,8 @@ class RmaEngineBase:
         ep.record_op(op)
         ws.unissued_total += 1
         self.mark_dirty(ws)
+        if self.wake_index:
+            self._wake_post(ws, ep, self._node_lo <= op.target < self._node_hi)
         if self._trace_enabled():
             self._trace("op_call", ws, ep, op_kind=op.kind.value, target=op.target)
         self.poke()
@@ -946,6 +1026,7 @@ class RmaEngineBase:
         ep.app_closed = True
         self._complete_epoch(ws, ep)
         ws.retire_closed()
+        ws.activation_due = True
         self.mark_dirty(ws)
         self.poke()
 

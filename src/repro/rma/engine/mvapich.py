@@ -30,7 +30,6 @@ Blocking-only synchronization
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 from ...network.packets import ServiceKind
@@ -60,42 +59,23 @@ class MvapichEngine(RmaEngineBase):
     # =====================================================================
     # Progress
     # =====================================================================
+    _STEPS = (
+        (5, "_consume_notifications"),
+        (6, "_process_lock_backlog"),
+        (7, "_advance_all"),
+    )
+
     def _sweep(self) -> None:
-        prof = self.profiler
-        if prof is not None:
-            self._sweep_profiled(prof)
-            return
+        drain, backlog, advance = self._step_fns
         # Notifications first (they may dirty exposure windows that were
         # clean at entry); the worklist snapshot then covers them.
-        self._consume_notifications()
+        drain(self)                              # step 5
+        # Steps 6 and 7 interleave window by window (loopback fabric
+        # delivery is synchronous, so the interleaving is part of the
+        # virtual-time schedule).
         for ws in self._take_dirty():
-            self._process_lock_backlog(ws)
-            self._advance_all(ws)
-        self._check_blocking_flushes()
-
-    def _sweep_profiled(self, prof) -> None:
-        """Baseline sweep with §VII-D accounting.  The per-window
-        interleaving of backlog processing and epoch advancement must
-        match the unprofiled path exactly (loopback fabric delivery is
-        synchronous), so the two steps' wall times accumulate across the
-        loop and are recorded once each."""
-        prof.sweeps += 1
-        t0 = perf_counter()
-        drained = self._consume_notifications()            # step 5
-        t1 = perf_counter()
-        prof.record(5, drained, t1 - t0)
-        backlog_work = advance_work = 0
-        backlog_s = advance_s = 0.0
-        for ws in self._take_dirty():
-            a = perf_counter()
-            backlog_work += self._process_lock_backlog(ws)  # step 6
-            b = perf_counter()
-            advance_work += self._advance_all(ws)           # step 7
-            c = perf_counter()
-            backlog_s += b - a
-            advance_s += c - b
-        prof.record(6, backlog_work, backlog_s)
-        prof.record(7, advance_work, advance_s)
+            backlog(self, ws)                    # step 6
+            advance(self, ws)                    # step 7
         self._check_blocking_flushes()
 
     def _advance_all(self, ws: WindowState) -> int:
@@ -197,7 +177,9 @@ class MvapichEngine(RmaEngineBase):
                 ep.lock_held[target] = True
             return
         for target in ep.targets:
-            ep.access_ids[target] = ws.next_access_id(target)
+            access_id = ws.next_access_id(target)
+            ep.access_ids[target] = access_id
+            ws.lock_epochs[target, access_id] = ep
             self._send(
                 target,
                 self.model.control_bytes,
@@ -205,7 +187,7 @@ class MvapichEngine(RmaEngineBase):
                     ws.gid,
                     origin=self.rank,
                     exclusive=ep.exclusive,
-                    access_id=ep.access_ids[target],
+                    access_id=access_id,
                 ),
                 ServiceKind.CONTROL,
                 needs_attention=True,

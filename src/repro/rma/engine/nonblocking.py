@@ -36,7 +36,7 @@ The 7-step progress loop (§VII-D)
 
 from __future__ import annotations
 
-from time import perf_counter
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,87 +68,52 @@ class NonblockingEngine(RmaEngineBase):
     #: resulting ordering bug.  Never clear this in production code.
     _activation_gate = True
 
+    #: Events advance and post only the epochs they touched (the epoch
+    #: wake index; see :meth:`RmaEngineBase._wake`).
+    wake_index = True
+
+    _STEPS = (
+        (2, "_post_ready_ops"),
+        (3, "_complete_and_activate"),
+        (4, "_post_ready_ops"),
+        (5, "_consume_notifications"),
+        (6, "_process_lock_backlog"),
+        (7, "_complete_and_activate"),
+    )
+
     # =====================================================================
     # §VII-D — the progress loop
     # =====================================================================
     def _sweep(self) -> None:
-        prof = self.profiler
-        if prof is not None:
-            self._sweep_profiled(prof)
-            return
+        post2, advance3, post4, drain5, backlog6, advance7 = self._step_fns
         dirty = self._take_dirty()
+        # Step 1 (completion verification) is event-driven here: op
+        # completion callbacks have already updated the state and woken
+        # the epochs they touched.
         for ws in dirty:
-            # Step 1 (completion verification) is event-driven here:
-            # op completion callbacks have already updated the state.
-            if ws.unissued_total:
-                self._post_ready_ops(ws, intranode=False)  # step 2
+            if ws.inter_heap:
+                post2(self, ws, False)                 # step 2
         for ws in dirty:
-            self._complete_and_activate(ws)            # step 3
+            advance3(self, ws)                         # step 3
         late = 0
         for ws in dirty:
-            if ws.unissued_total:
-                late += self._post_ready_ops(ws, intranode=True)   # step 4
-        late += self._consume_notifications()                  # step 5
+            if ws.intra_heap:
+                late += post4(self, ws, True)          # step 4
+        late += drain5(self)                           # step 5
         # Step 5 may have dirtied windows that were clean at sweep start
         # (FIFO done notifications); the historical full scan reached
         # them in steps 6/7 of the same sweep, so fold them in here.
         merged = self._merge_marked(dirty)
         for ws in merged:
             if ws.lock_backlog:
-                late += self._process_lock_backlog(ws)  # step 6
+                late += backlog6(self, ws)             # step 6
         # Step 3 already ran each window to the _complete_and_activate
         # fixpoint, so step 7 can only progress if steps 4-6 changed
         # something (posted ops, drained notifications, lock traffic) or
         # pulled extra windows in; otherwise it is a structural no-op.
         if late or merged is not dirty:
             for ws in merged:
-                self._complete_and_activate(ws)        # step 7
-        self._check_blocking_flushes()
-
-    def _sweep_profiled(self, prof) -> None:
-        """The same step sequence as :meth:`_sweep`, with per-step work
-        counts and wall-clock deltas fed to the §VII-D profiler.  The
-        loop structure must stay identical to the unprofiled path:
-        loopback fabric delivery is synchronous, so reordering steps
-        would change the virtual-time schedule."""
-        prof.sweeps += 1
-        dirty = self._take_dirty()
-        t0 = perf_counter()
-        work = 0
-        for ws in dirty:
-            work += self._post_ready_ops(ws, intranode=False)  # step 2
-        t1 = perf_counter()
-        prof.record(2, work, t1 - t0)
-        work = 0
-        for ws in dirty:
-            work += self._complete_and_activate(ws)            # step 3
-        t2 = perf_counter()
-        prof.record(3, work, t2 - t1)
-        work = 0
-        for ws in dirty:
-            work += self._post_ready_ops(ws, intranode=True)   # step 4
-        t3 = perf_counter()
-        prof.record(4, work, t3 - t2)
-        late = work
-        work = self._consume_notifications()                   # step 5
-        late += work
-        t4 = perf_counter()
-        prof.record(5, work, t4 - t3)
-        merged = self._merge_marked(dirty)
-        work = 0
-        for ws in merged:
-            work += self._process_lock_backlog(ws)             # step 6
-        late += work
-        t5 = perf_counter()
-        prof.record(6, work, t5 - t4)
-        work = 0
-        # Same step-7 skip as the unprofiled path: after step 3's
-        # fixpoint, zero late work means step 7 cannot progress.
-        if late or merged is not dirty:
-            for ws in merged:
-                work += self._complete_and_activate(ws)        # step 7
-        t6 = perf_counter()
-        prof.record(7, work, t6 - t5)
+                advance7(self, ws)                     # step 7
         self._check_blocking_flushes()
 
     # =====================================================================
@@ -164,9 +129,14 @@ class NonblockingEngine(RmaEngineBase):
         """Activate deferred epochs in order; §VII-A: "the scan stops when
         the first deferred epoch is encountered that fails activation
         conditions".  Returns the number of epochs activated."""
+        eps = ws.epochs
+        if self._activation_gate and (not eps or eps[-1].active or eps[-1].completed):
+            # Serial activation keeps the deferred epochs a suffix of the
+            # queue: a non-deferred tail means there is none to scan for.
+            return 0
         activated = 0
         active_preceding: list[Epoch] = []
-        for ep in ws.epochs:
+        for ep in eps:
             if ep.completed:
                 continue
             if ep.active:
@@ -195,6 +165,11 @@ class NonblockingEngine(RmaEngineBase):
     ) -> None:
         ep.state = EpochState.ACTIVE
         ep.activate_time = self.sim.now
+        self._wake(ws, ep)
+        if ep.unissued_count:
+            # Replay the deferred calls: every target may be ready.
+            self._wake_post(ws, ep, False)
+            self._wake_post(ws, ep, True)
         ep.activated_past = tuple(p.uid for p in active_preceding)
         checker = self._checker_of(ws)
         if checker is not None:
@@ -216,6 +191,7 @@ class NonblockingEngine(RmaEngineBase):
         elif ep.kind is EpochKind.GATS_EXPOSURE:
             self._enroll_exposure(ws, ep)
         elif ep.kind is EpochKind.FENCE:
+            ws.fence_epoch = ep
             self._announce_fence(ws, ep)
 
     # -- synchronization-protocol hooks (overridden by the counter-signal
@@ -226,8 +202,15 @@ class NonblockingEngine(RmaEngineBase):
         passive-target kinds additionally send their lock request."""
         for target in ep.targets:
             ep.access_ids[target] = ws.next_access_id(target)
-        if ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL):
+        if ep.kind is EpochKind.GATS_ACCESS:
+            if not ep.nocheck:
+                for target in ep.targets:
+                    access_id = ep.access_ids[target]
+                    if access_id > ws.g[target]:
+                        ws.grant_waiters[target, access_id] = ep
+        else:
             for target in ep.targets:
+                ws.lock_epochs[target, ep.access_ids[target]] = ep
                 self._send(
                     target,
                     self.model.control_bytes,
@@ -245,7 +228,10 @@ class NonblockingEngine(RmaEngineBase):
         """Enter an activating exposure epoch: grant every origin (ω
         form: ``e++`` locally, ``g++`` remotely)."""
         for origin in ep.origin_group:
-            ep.exposure_ids[origin] = ws.e[origin] + 1
+            exposure_id = ws.e[origin] + 1
+            ep.exposure_ids[origin] = exposure_id
+            if exposure_id > ws.done_id[origin]:
+                ws.done_waiters[origin, exposure_id] = ep
             self._send_grant(ws, origin)
 
     def _announce_fence(self, ws: WindowState, ep: Epoch) -> None:
@@ -297,25 +283,37 @@ class NonblockingEngine(RmaEngineBase):
         raise AssertionError(f"ops not allowed in {ep.kind}")
 
     def _post_ready_ops(self, ws: WindowState, intranode: bool) -> int:
-        """Steps 2/4: issue recorded ops to every granted target;
-        returns the number of ops posted."""
-        if not ws.unissued_total:
-            return 0
+        """Steps 2/4: issue recorded ops to every granted target of one
+        node class, for the epochs woken for that class; returns the
+        number of ops posted."""
+        heap = ws.intra_heap if intranode else ws.inter_heap
         node_lo, node_hi = self._node_lo, self._node_hi
         m = self.metrics
         posted = 0
-        for ep in ws.epochs:
-            if not ep.active or ep.kind is EpochKind.GATS_EXPOSURE:
+        # Woken epochs in open order, with the cursor rule of
+        # _complete_and_activate (inlined in both: this is the hot path).
+        cursor = -1
+        held = None
+        while heap:
+            uid, ep = heappop(heap)
+            if uid <= cursor:
+                if held is None:
+                    held = []
+                held.append((uid, ep))
                 continue
-            if not ep.unissued_count:
+            cursor = uid
+            if intranode:
+                ep.intra_woken = False
+            else:
+                ep.inter_woken = False
+            if not ep.active or not ep.unissued_count:
                 continue
             targets = ep.unissued_targets()
             granted = None
             if ep.kind is EpochKind.GATS_ACCESS and not ep.nocheck and len(targets) > 1:
                 # Vectorized matching: one gather + compare covers the
                 # whole pending peer group; per-target iteration below
-                # keeps the issue order and match/wait accounting
-                # identical to the scalar walk.
+                # keeps the issue order identical to the scalar walk.
                 granted = self._grants_vector(ws, ep, targets)
             for i, target in enumerate(targets):
                 if (node_lo <= target < node_hi) != intranode:
@@ -326,14 +324,24 @@ class NonblockingEngine(RmaEngineBase):
                     else self._target_ready(ws, ep, target)
                 )
                 if m is not None:
-                    # ω matching outcome (§VII-B): one O(1) test per
-                    # pending target per sweep.
-                    m.inc("omega.matches" if ready else "omega.wait_for_grant")
+                    # ω matching outcome (§VII-B), once per (epoch,
+                    # target) pair and outcome: first found ungranted,
+                    # first posted.
+                    counted = ep.omega_counted
+                    if counted is None:
+                        counted = ep.omega_counted = set()
+                    key = target << 1 | ready
+                    if key not in counted:
+                        counted.add(key)
+                        m.inc("omega.matches" if ready else "omega.wait_for_grant")
                 if ready:
                     for op in self._take_unissued(ws, ep, target):
                         self._record_concurrency(ws, ep, op)
                         self._issue_op(ws, op)
                         posted += 1
+        if held is not None:
+            for item in held:
+                heappush(heap, item)
         return posted
 
     def _record_concurrency(self, ws: WindowState, ep: Epoch, op: RmaOp) -> None:
@@ -353,22 +361,47 @@ class NonblockingEngine(RmaEngineBase):
     # Completion (step 3 / step 7)
     # =====================================================================
     def _complete_and_activate(self, ws: WindowState) -> int:
-        """Steps 3/7: returns the number of epochs progressed (completed
+        """Steps 3/7: advance the woken epochs and activate deferred ones
+        to a fixpoint; returns the number of epochs progressed (completed
         or activated)."""
         if not ws.epochs:
             return 0
+        heap = ws.wake_heap
         changed = True
         progressed = 0
         while changed:
             changed = False
-            for ep in ws.epochs:
+            # One pass over the woken epochs in open order.  An epoch
+            # woken during the pass is visited in it when it lies past
+            # the cursor (a pass over the whole queue would still reach
+            # it) and held for the next pass otherwise (such a pass had
+            # already gone by): exactly the effectful visits, in the same
+            # order, of a pass over every queued epoch.
+            cursor = -1
+            held = None
+            while heap:
+                uid, ep = heappop(heap)
+                if uid <= cursor:
+                    if held is None:
+                        held = []
+                    held.append((uid, ep))
+                    continue
+                cursor = uid
+                ep.woken = False
                 if ep.active and self._advance_epoch(ws, ep):
                     changed = True
                     progressed += 1
-            activated = self._try_activate(ws)
-            if activated:
-                changed = True
-                progressed += activated
+            if held is not None:
+                for item in held:
+                    heappush(heap, item)
+            # Only a completion or an open can let a deferred epoch
+            # activate; otherwise the scan would find what it found last.
+            if changed or ws.activation_due:
+                ws.activation_due = False
+                activated = self._try_activate(ws)
+                if activated:
+                    changed = True
+                    progressed += activated
         if progressed and ws.unissued_total:
             # Newly activated epochs may have ready ops; re-mark the
             # window and rerun the step sequence so steps 2/4 post them.
@@ -445,6 +478,10 @@ class NonblockingEngine(RmaEngineBase):
     # =====================================================================
     # Epoch lifecycle API (called by the Window facade)
     # =====================================================================
+    def _open_epoch(self, ws: WindowState, ep: Epoch) -> Epoch:
+        ws.activation_due = True
+        return super()._open_epoch(ws, ep)
+
     def open_fence(self, win: "Window") -> Epoch:
         ws = self.state_of(win)
         ws.fence_round += 1

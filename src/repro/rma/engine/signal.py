@@ -38,7 +38,7 @@ import numpy as np
 
 from ...network.packets import ServiceKind
 from ..epoch import Epoch, EpochKind
-from ..notify import SIGNAL_LIMIT, SignalBoard, SignalChannel
+from ..notify import SignalBoard, SignalChannel
 from ..ops import OpKind, RmaOp
 from ..packets import LockRequestPacket, SignalUpdate
 from ..state import WindowState
@@ -99,7 +99,8 @@ class SignalEngine(NonblockingEngine):
     def _on_signal(self, ws: WindowState, p: SignalUpdate, src: int) -> None:
         board = ws.signal_board
         m = self.metrics
-        if not board.apply(p.channel, p.signaler, p.value):
+        old = board.lift_inbound(p.channel, p.signaler, p.value)
+        if old is None:
             # Replay/retransmit: the max() application already holds a
             # value at least this high (same contract as grant_seq).
             if m is not None:
@@ -117,9 +118,23 @@ class SignalEngine(NonblockingEngine):
                 self.rank, f"signal.{SignalChannel(p.channel).name.lower()}.w{ws.gid}",
                 p.signaler, p.value,
             )
-        if p.channel == SignalChannel.LOCK:
-            self._lock_signal(ws, p.signaler)
-        elif p.channel == SignalChannel.NOTIFY:
+        # Wake the epochs the rise affects (the epoch wake index).
+        channel = p.channel
+        if channel == SignalChannel.GRANT:
+            if ws.grant_waiters:
+                self._wake_matched(ws, ws.grant_waiters, p.signaler, old, p.value, post=True)
+        elif channel == SignalChannel.DONE:
+            if ws.done_waiters:
+                self._wake_matched(ws, ws.done_waiters, p.signaler, old, p.value)
+        elif channel == SignalChannel.LOCK:
+            self._lock_signal(ws, p.signaler, old, p.value)
+        elif channel == SignalChannel.FENCE_OPEN:
+            if ws.fence_epoch is not None:
+                self._wake_post(ws, ws.fence_epoch, self._node_lo <= p.signaler < self._node_hi)
+        elif channel == SignalChannel.FENCE_DONE:
+            if ws.fence_epoch is not None:
+                self._wake(ws, ws.fence_epoch)
+        elif channel == SignalChannel.NOTIFY:
             self._resolve_notify_waits(ws, p.signaler)
 
     _PACKET_HANDLERS = {
@@ -137,9 +152,10 @@ class SignalEngine(NonblockingEngine):
             # NOCHECK: the exposure side signals unconditionally, so a
             # non-consuming epoch would misalign every later one.
             for target in ep.targets:
-                ep.signal_expected[target] = board.bump_expected(
-                    SignalChannel.GRANT, target
-                )
+                expected = board.bump_expected(SignalChannel.GRANT, target)
+                ep.signal_expected[target] = expected
+                if not ep.nocheck and not board.reached(SignalChannel.GRANT, target, expected):
+                    ws.grant_waiters[target, expected] = ep
             return
         # Passive target: reserve the next LOCK-channel signal and ship
         # the lock request.  The reservation value doubles as the
@@ -149,6 +165,7 @@ class SignalEngine(NonblockingEngine):
             expected = board.bump_expected(SignalChannel.LOCK, target)
             ep.signal_expected[target] = expected
             ep.access_ids[target] = expected
+            ws.lock_epochs[target, expected] = ep
             self._send(
                 target,
                 self.model.control_bytes,
@@ -164,7 +181,10 @@ class SignalEngine(NonblockingEngine):
         for origin in ep.origin_group:
             self._signal(ws, SignalChannel.GRANT, origin)
             # ...and reserve the matching access epoch's DONE signal.
-            ep.signal_expected[origin] = board.bump_expected(SignalChannel.DONE, origin)
+            expected = board.bump_expected(SignalChannel.DONE, origin)
+            ep.signal_expected[origin] = expected
+            if not board.reached(SignalChannel.DONE, origin, expected):
+                ws.done_waiters[origin, expected] = ep
 
     def _announce_fence(self, ws: WindowState, ep: Epoch) -> None:
         # Fence channels carry the round number itself (a floor, not a
@@ -234,24 +254,23 @@ class SignalEngine(NonblockingEngine):
         if self._trace_enabled():
             self._trace("lock_grant", ws, origin=waiter.origin, access_id=waiter.access_id)
 
-    def _lock_signal(self, ws: WindowState, granter: int) -> None:
-        """Origin side of a LOCK-channel signal: mark every lock epoch
-        whose reservation the inbound counter now covers (idempotent —
-        an already-held flag is simply skipped)."""
-        inbound = int(ws.signal_board.inbound[SignalChannel.LOCK, granter])
+    def _lock_signal(self, ws: WindowState, granter: int, old: int, new: int) -> None:
+        """Origin side of a LOCK-channel signal raising the inbound
+        counter from ``old`` to ``new``: mark the lock epochs whose
+        reservation lies in between, found through the ``(target,
+        access id)`` index (access ids are the LOCK reservations)."""
         m = self.metrics
-        for ep in ws.epochs:
-            if (
-                ep.kind in (EpochKind.LOCK, EpochKind.LOCK_ALL)
-                and not ep.lock_held.get(granter, False)
-                and ep.signal_expected.get(granter, SIGNAL_LIMIT) <= inbound
-            ):
-                ep.lock_held[granter] = True
-                start = ep.activate_time if ep.activate_time is not None else ep.open_time
-                if m is not None and start is not None:
-                    m.observe("signal.lock_grant_wait_us", self.sim.now - start)
-                if self.causal is not None and start is not None:
-                    self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
+        for expected in range(old + 1, new + 1):
+            ep = ws.lock_epochs.get((granter, expected))
+            if ep is None or granter in ep.lock_held:
+                continue
+            ep.lock_held[granter] = True
+            start = ep.activate_time if ep.activate_time is not None else ep.open_time
+            if m is not None and start is not None:
+                m.observe("signal.lock_grant_wait_us", self.sim.now - start)
+            if self.causal is not None and start is not None:
+                self.causal.wait(ep.uid, "lock_wait", start, self.sim.now)
+            self._wake_target(ws, ep, granter)
 
     # =====================================================================
     # Notified access (foMPI-style; NOTIFY channel)

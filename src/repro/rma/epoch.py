@@ -134,6 +134,16 @@ class Epoch:
         self.unlock_acked: set[int] = set()
         #: Fence-done broadcast emitted (fence epochs).
         self.fence_done_sent = False
+        #: Epoch wake index (nonblocking engines): whether the epoch sits
+        #: on its window's advance queue (steps 3/7) and on its internode
+        #: / intranode posting queues (steps 2/4).  Set by the engine's
+        #: ``_wake``/``_wake_post``, cleared when the step visits it.
+        self.woken = False
+        self.inter_woken = False
+        self.intra_woken = False
+        #: ω matching outcomes already counted by the metrics registry,
+        #: as ``target << 1 | ready`` (created on first use, metrics only).
+        self.omega_counted: set[int] | None = None
         #: Closing request (created when the closing routine runs).
         self.closing_request: "ClosingRequest | None" = None
         # Timeline (for the tracer / pattern detector / consistency).

@@ -103,11 +103,18 @@ class SignalBoard:
     def apply(self, channel: int, peer: int, value: int) -> bool:
         """``inbound = max(inbound, value)``; False when the signal was a
         duplicate/replay (idempotent, like ``GrantUpdate.grant_seq``)."""
-        if value <= self.inbound[channel, peer]:
+        return self.lift_inbound(channel, peer, value) is not None
+
+    def lift_inbound(self, channel: int, peer: int, value: int) -> int | None:
+        """:meth:`apply` returning the inbound value it replaced (the
+        engine wakes the epochs reserved in between), or None for a
+        duplicate/replay."""
+        old = self.inbound[channel, peer]
+        if value <= old:
             self.dup_signals_ignored += 1
-            return False
+            return None
         self.inbound[channel, peer] = value
-        return True
+        return old
 
     def bump_expected(self, channel: int, peer: int, count: int = 1) -> int:
         """Consume ``count`` future signals from ``peer``; returns the

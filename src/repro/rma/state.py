@@ -70,6 +70,36 @@ class WindowState:
         #: instead of rebuilding a list per sweep.
         self.epochs: deque["Epoch"] = deque()
 
+        # -- epoch wake index (nonblocking engines) ------------------------
+        # Progress work tracks the events that happened, not the queue
+        # depth: an event that can change an epoch's progress predicate
+        # files that epoch here, and the sweep steps visit only filed
+        # epochs.  The queues are (uid, epoch) min-heaps, drained in open
+        # order (uids grow with open order within a window).
+        #: Epochs to advance (steps 3/7).
+        self.wake_heap: list[tuple[int, "Epoch"]] = []
+        #: Epochs whose internode / intranode target readiness changed
+        #: (steps 2 / 4; separate, so a wake between the steps is kept).
+        self.inter_heap: list[tuple[int, "Epoch"]] = []
+        self.intra_heap: list[tuple[int, "Epoch"]] = []
+        #: A deferred epoch may now activate: one was opened, or a fence
+        #: was discarded.  (Completions are seen by the advance pass.)
+        self.activation_due = False
+        #: Matching indices, ``(peer, counter value) -> epoch``: the value
+        #: at which a rising counter from ``peer`` unblocks the epoch.
+        #: GATS access epochs not yet granted (ω ``g`` / GRANT signal).
+        self.grant_waiters: dict[tuple[int, int], "Epoch"] = {}
+        #: Exposure epochs awaiting an origin's done (ω ``done_id`` /
+        #: DONE signal).
+        self.done_waiters: dict[tuple[int, int], "Epoch"] = {}
+        #: Passive-target epochs by ``(target, access_id)``, from the lock
+        #: request until the unlock ack (every engine: lock grants and
+        #: unlock acks are matched through it).
+        self.lock_epochs: dict[tuple[int, int], "Epoch"] = {}
+        #: The last fence epoch activated here.  At most one fence is
+        #: active at a time (fences never reorder, §VI-B).
+        self.fence_epoch: "Epoch | None" = None
+
         # -- lock hosting ----------------------------------------------------
         self.lock_mgr = LockManager(on_lock_grant)
         #: Lock/unlock events awaiting batch processing (engine step 6).
