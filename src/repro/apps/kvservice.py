@@ -114,8 +114,8 @@ class KvServiceResult:
     #: Shard-map rotations performed.
     rebalances: int
     elapsed_us: float
-    #: Mean / p99 ADD+GET latency in virtual µs (timing-dependent:
-    #: excluded from digests).
+    #: Mean / p99 ADD+GET latency in virtual µs, arrival to flush
+    #: completion (timing-dependent: excluded from digests).
     latency_mean_us: float
     latency_p99_us: float
     #: The finished runtime (for ``metrics_summary()`` / trace export);
@@ -162,8 +162,9 @@ def run_kvservice(cfg: KvServiceConfig) -> KvServiceResult:
             keys * _ITEM, info=cfg.checker_info() or None, name="kv.store")
 
         # Persistent control-path collectives, planned exactly once.
-        rotation = [[keys if j == (i + 1) % n else 0 for j in range(n)]
-                    for i in range(n)]
+        rotation = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rotation):
+            row[(i + 1) % n] = keys
         rebalance = yield from plan_alltoallv(proc, rotation, style=cfg.coll_style)
         stats_red = yield from plan_allreduce(proc, 4, style=cfg.coll_style)
 
@@ -182,7 +183,9 @@ def run_kvservice(cfg: KvServiceConfig) -> KvServiceResult:
             nonlocal pending
             for arrival, req in pending[:until]:
                 yield from req.wait()
-                lat.append(proc.wtime() - arrival)
+                # The request's own completion time, not the time this
+                # batch is collected (that would measure max_pending).
+                lat.append(req.completed_at - arrival)
             pending = pending[until:]
 
         for epoch in range(cfg.rebalances):
@@ -251,7 +254,7 @@ def run_kvservice(cfg: KvServiceConfig) -> KvServiceResult:
     stats = outs[0][1]
     assert all(np.array_equal(stats, s) for _, s in outs)
     return KvServiceResult(
-        tables=tuple(tuple(int(v) for v in table) for table, _ in outs),
+        tables=tuple(tuple(table.tolist()) for table, _ in outs),
         stats=tuple(int(v) for v in stats),
         rebalances=cfg.rebalances,
         elapsed_us=max(finish.values()),

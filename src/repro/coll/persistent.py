@@ -381,7 +381,7 @@ def plan_allgather(
         per_rank = [int(c) for c in count]
         if len(per_rank) != n:
             raise ValueError(f"need {n} per-rank counts, got {len(per_rank)}")
-        counts = tuple(tuple(c for _ in range(n)) for c in per_rank)
+        counts = tuple((c,) * n for c in per_rank)
     plan = yield from _plan(proc, counts, dtype, style, nonblocking,
                             PersistentAllgather, "coll.allgather")
     return plan

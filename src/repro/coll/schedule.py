@@ -51,7 +51,8 @@ def validate_counts(counts, nranks: int) -> tuple[tuple[int, ...], ...]:
 def uniform_counts(nranks: int, count: int) -> tuple[tuple[int, ...], ...]:
     """The allgather/allreduce shape: every rank contributes ``count``
     elements to every rank (itself included)."""
-    return tuple(tuple(count for _ in range(nranks)) for _ in range(nranks))
+    row = (count,) * nranks
+    return (row,) * nranks
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,9 @@ def build_schedule(
         recv_offsets.append(acc)
         acc += recv_counts[i]
     # Mirrored placement at each target: prefix over sources < me.
-    put_offsets = tuple(
-        sum(counts[i][j] for i in range(rank)) for j in range(nranks)
-    )
-    slot_elems_by_rank = tuple(
-        sum(counts[i][j] for i in range(nranks)) for j in range(nranks)
-    )
+    columns = tuple(zip(*counts))
+    put_offsets = tuple(sum(col[:rank]) for col in columns)
+    slot_elems_by_rank = tuple(sum(col) for col in columns)
     return CollSchedule(
         nranks=nranks,
         rank=rank,

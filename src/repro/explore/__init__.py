@@ -9,9 +9,10 @@ never shows.  This package turns the kernel's determinism into a
   schedules (priority shuffles + bounded extra delays over
   same-timestamp events, whole-lane coherent, splitmix64-keyed like
   :mod:`repro.faults` — one seed replays one schedule byte for byte);
-- :mod:`~repro.explore.runner` runs each workload on all four engine
-  variants of the paper's test matrix under identical schedules and
-  diffs canonical outcome digests (:mod:`~repro.explore.digest`);
+- :mod:`~repro.explore.runner` runs each workload on every registered
+  engine (the paper's test matrix plus the signal and adaptive engines)
+  under identical schedules and diffs canonical outcome digests
+  (:mod:`~repro.explore.digest`);
 - :mod:`~repro.explore.shrink` delta-debugs a failing seed down to a
   minimal perturbation set;
 - :mod:`~repro.explore.mutation` provides known-bad engine mutations so

@@ -1,11 +1,14 @@
 """Workload registry, engine-variant matrix, and the differential sweep.
 
-The oracle's design is the paper's test matrix grown by one column:
-every workload runs on four engine series — **MVAPICH** (baseline
-engine, blocking calls), **New** (redesigned engine, blocking calls),
-**New nonblocking** (redesigned engine, i* calls) and **Signal**
-(counter-signal engine, i* calls) — under identical explored schedules,
-and their :class:`~repro.explore.digest.OutcomeDigest`\\ s are compared:
+The oracle's design is the paper's test matrix grown to every
+registered engine: each workload runs on the four bench series —
+**MVAPICH** (baseline engine, blocking calls), **New** (redesigned
+engine, blocking calls), **New nonblocking** (redesigned engine, i*
+calls) and **Signal** (counter-signal engine, i* calls) — plus every
+other engine in :data:`repro.rma.engine.registry.ENGINES` (today
+**adaptive**, blocking calls: it has no i* API), under identical
+explored schedules, and their
+:class:`~repro.explore.digest.OutcomeDigest`\\ s are compared:
 
 - the ``strict`` digest part must agree across *everything* (engines ×
   schedules): the application answer, final window bytes, checker
@@ -18,7 +21,7 @@ and their :class:`~repro.explore.digest.OutcomeDigest`\\ s are compared:
 Workloads are deliberately small instances of the real apps — big
 enough to produce cross-rank traffic on every synchronization style
 (fence, GATS, exclusive/shared locks, persistent collectives), small
-enough that a 4-variant × N-schedule sweep stays in CI-smoke territory.
+enough that a 5-variant × N-schedule sweep stays in CI-smoke territory.
 The workload factories themselves live in the :mod:`repro.workloads`
 registry (the single source of workload names); this module owns the
 sweep and the digest comparison.
@@ -29,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..rma.engine.registry import ENGINES, engine_factory
 from ..workloads import SERIES, get_workload, workload_names
 from .context import ExplorationContext
 from .digest import OutcomeDigest, build_digest, diff_digests
@@ -54,11 +58,24 @@ class EngineVariant:
     nonblocking: bool
 
 
-#: The paper's three test series (§IX) plus the counter-signal engine
-#: (the registry's canonical series table, in its order).
-VARIANTS: tuple[EngineVariant, ...] = tuple(
-    EngineVariant(s.name, s.engine, s.nonblocking) for s in SERIES
-)
+def _variants() -> tuple[EngineVariant, ...]:
+    """The bench series (the paper's three plus the counter-signal
+    engine, in their order), then every other registered engine driven
+    blocking and, where the engine has the nonblocking API, nonblocking
+    too — so no registered engine sits outside the oracle."""
+    variants = [EngineVariant(s.name, s.engine, s.nonblocking) for s in SERIES]
+    covered = {s.engine for s in SERIES}
+    for engine in ENGINES:
+        if engine in covered:
+            continue
+        variants.append(EngineVariant(engine, engine, False))
+        if engine_factory(engine).supports_nonblocking:
+            variants.append(EngineVariant(f"{engine}-nonblocking", engine, True))
+    return tuple(variants)
+
+
+#: One variant per bench series, then the remaining registered engines.
+VARIANTS: tuple[EngineVariant, ...] = _variants()
 
 
 def _oracle_adapter(name: str) -> Callable[[EngineVariant, ExplorationContext], dict]:

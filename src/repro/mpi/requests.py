@@ -49,6 +49,13 @@ class Request:
         return self.event.triggered
 
     @property
+    def completed_at(self) -> float | None:
+        """Virtual time (µs) at which the request completed, ``None``
+        while pending — independent of when the application tests or
+        waits on it."""
+        return self.event.trigger_time
+
+    @property
     def value(self) -> Any:
         """Operation result (e.g. received data), ``None`` until done."""
         return self.event.value

@@ -341,7 +341,7 @@ class RmaEngineBase:
         )
 
     def _on_get_response(self, ws: WindowState, p: GetResponse, src: int) -> None:
-        op = ws.ops_by_uid.pop(p.op_uid)
+        op = ws.in_flight[p.op_uid]
         if op.result_buf is not None and p.data is not None:
             dest = op.result_buf.view(np.uint8).reshape(-1)
             dest[: p.data.nbytes] = p.data.view(np.uint8).reshape(-1)
@@ -371,7 +371,7 @@ class RmaEngineBase:
                    ServiceKind.CONTROL)
 
     def _on_acc_cts(self, ws: WindowState, p: AccRendezvousCts, src: int) -> None:
-        op = ws.ops_by_uid[p.op_uid]
+        op = ws.in_flight[p.op_uid]
         self._send_accumulate_payload(ws, op)
 
     def _on_fetch_op(self, ws: WindowState, p: FetchOpRequest, src: int) -> None:
@@ -389,7 +389,7 @@ class RmaEngineBase:
         )
 
     def _on_fetch_op_response(self, ws: WindowState, p: FetchOpResponse, src: int) -> None:
-        op = ws.ops_by_uid.pop(p.op_uid)
+        op = ws.in_flight[p.op_uid]
         if op.result_buf is not None and p.data is not None:
             op.result_buf.view(p.data.dtype).reshape(-1)[:1] = p.data.reshape(-1)[:1]
         self._op_delivered(ws, op)
@@ -410,7 +410,7 @@ class RmaEngineBase:
         )
 
     def _on_cas_response(self, ws: WindowState, p: CasResponse, src: int) -> None:
-        op = ws.ops_by_uid.pop(p.op_uid)
+        op = ws.in_flight[p.op_uid]
         if op.result_buf is not None and p.data is not None:
             op.result_buf.view(p.data.dtype).reshape(-1)[:1] = p.data.reshape(-1)[:1]
         self._op_delivered(ws, op)
@@ -802,7 +802,6 @@ class RmaEngineBase:
             ticket.on_local_complete(self._op_local, ws, op)
             ticket.on_delivered(self._op_delivered, ws, op)
         elif op.kind is OpKind.GET:
-            ws.ops_by_uid[op.uid] = op
             self._send(
                 op.target,
                 self.model.control_bytes,
@@ -812,10 +811,7 @@ class RmaEngineBase:
             # A get has no separate local completion phase at the origin.
             self.sim.schedule(0.0, self._op_local, ws, op)
         elif op.kind in (OpKind.ACCUMULATE, OpKind.GET_ACCUMULATE):
-            if op.kind is OpKind.GET_ACCUMULATE:
-                ws.ops_by_uid[op.uid] = op
             if self.model.accumulate_needs_rendezvous(op.nbytes):
-                ws.ops_by_uid[op.uid] = op
                 self._send(
                     op.target,
                     self.model.control_bytes,
@@ -826,7 +822,6 @@ class RmaEngineBase:
             else:
                 self._send_accumulate_payload(ws, op)
         elif op.kind is OpKind.FETCH_AND_OP:
-            ws.ops_by_uid[op.uid] = op
             self._send(
                 op.target,
                 self.model.control_bytes + op.dtype.size,
@@ -837,7 +832,6 @@ class RmaEngineBase:
             )
             self.sim.schedule(0.0, self._op_local, ws, op)
         elif op.kind is OpKind.COMPARE_AND_SWAP:
-            ws.ops_by_uid[op.uid] = op
             self._send(
                 op.target,
                 self.model.control_bytes + 2 * op.dtype.size,
@@ -886,6 +880,7 @@ class RmaEngineBase:
             return
         op.delivered = True
         op.deliver_time = self.sim.now
+        del ws.in_flight[op.uid]
         op.epoch.mark_delivered(op)
         self.mark_dirty(ws)
         if self.wake_index:
@@ -998,6 +993,7 @@ class RmaEngineBase:
         ws = self.state_of(win)
         op.call_time = self.sim.now
         ep.record_op(op)
+        ws.in_flight[op.uid] = op
         ws.unissued_total += 1
         self.mark_dirty(ws)
         if self.wake_index:
@@ -1055,9 +1051,10 @@ class RmaEngineBase:
         self._flush_activate(ws, ep)
         ops = [
             op
-            for op in ep.ops
-            if (target is None or op.target == target)
-            and not (op.local_done if local else op.delivered)
+            for op in ws.in_flight.values()
+            if op.epoch is ep
+            and (target is None or op.target == target)
+            and not (local and op.local_done)
         ]
         req = Request(self.sim, f"bflush(ep{ep.uid})")
         if not ops:

@@ -557,10 +557,11 @@ class NonblockingEngine(RmaEngineBase):
         stamp = ws.age_counter
         pending = [
             op
-            for op in ep.ops
-            if op.age <= stamp
+            for op in ws.in_flight.values()
+            if op.epoch is ep
+            and op.age <= stamp
             and (target is None or op.target == target)
-            and not (op.local_done if local else op.delivered)
+            and not (local and op.local_done)
         ]
         req = FlushRequest(self.sim, ep, stamp, target, local, len(pending))
         if not req.done:

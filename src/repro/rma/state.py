@@ -120,8 +120,14 @@ class WindowState:
         self.unissued_total = 0
         #: Monotonic RMA-call age (§VII-C flush stamping).
         self.age_counter = 0
-        #: In-flight response-bearing ops by uid (routing table).
-        self.ops_by_uid: dict[int, "RmaOp"] = {}
+        #: Recorded-but-not-yet-delivered ops by uid, in call order.  It
+        #: routes responses and rendezvous clears to their op, and it is
+        #: the flush pending-set source (§VII-C), so a flush costs the ops
+        #: in flight rather than every op its epoch ever recorded.
+        #: Written only by the engine's ``add_op`` (insert) and
+        #: ``_op_delivered`` (delete); delivery implies local completion,
+        #: so ``flush_local`` filters the same index by ``not op.local_done``.
+        self.in_flight: dict[int, "RmaOp"] = {}
         #: Live flush requests.
         self.flushes: list["FlushRequest"] = []
 
@@ -179,7 +185,7 @@ class WindowState:
         """Middleware state that should be empty when the window is
         freed.  Non-empty entries mean either application misuse (epochs
         whose completion was never detected) or engine accounting bugs
-        (dangling flushes, orphaned response routing entries, hosted
+        (dangling flushes, ops never delivered, hosted
         locks never released).  The semantics checker turns a non-empty
         report into an ``EPOCH_LEAK`` violation at ``MPI_WIN_FREE``."""
         leaks: dict[str, Any] = {}
@@ -189,8 +195,8 @@ class WindowState:
         dangling = [fr.name for fr in self.flushes if not fr.done]
         if dangling:
             leaks["flushes"] = dangling
-        if self.ops_by_uid:
-            leaks["ops_in_flight"] = sorted(self.ops_by_uid)
+        if self.in_flight:
+            leaks["ops_in_flight"] = sorted(self.in_flight)
         holders = self.lock_mgr.holders
         if holders:
             leaks["hosted_locks"] = holders

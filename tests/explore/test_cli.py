@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.explore import VARIANTS
 from repro.explore.__main__ import main
 
 
@@ -17,7 +18,7 @@ def test_run_json_report(capsys, tmp_path):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert doc["mismatches"] == []
-    assert len(doc["runs"]) == 4 * 3  # 4 variants x (baseline + 2 schedules)
+    assert len(doc["runs"]) == len(VARIANTS) * 3  # every variant x (baseline + 2 schedules)
     assert json.loads(out.read_text()) == doc
 
 

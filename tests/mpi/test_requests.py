@@ -31,6 +31,21 @@ class TestRequest:
         sim.run()
         assert proc.done.value == ("late", 5.0)
 
+    def test_completed_at_is_completion_time_not_wait_time(self, sim):
+        req = Request(sim)
+        assert req.completed_at is None
+        sim.schedule(5.0, req.complete)
+
+        def body():
+            yield sim.timeout(20.0)
+            yield from req.wait()
+            return sim.now
+
+        proc = sim.process(body())
+        sim.run()
+        assert proc.done.value == 20.0
+        assert req.completed_at == 5.0
+
     def test_wait_on_done_request_is_instant(self, sim):
         req = CompletedRequest(sim, value="x")
 
